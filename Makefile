@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race chaos crash crash-cluster crash-coordinator verify golden bench bench-serving bench-dayloop bench-cluster bench-router bench-all benchdiff fuzz-smoke
+.PHONY: build vet test race chaos crash verify golden bench bench-serving bench-dayloop bench-router bench-all benchdiff fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -32,30 +32,12 @@ chaos:
 crash:
 	$(GO) test -run 'TestCrash' ./internal/sim ./cmd/fraudsim
 
-# crash-cluster runs the multi-process shard cluster suite under -race:
-# the seeds x shard-counts merged-replay equivalence matrix, supervised
-# kill-point/stall/restart-budget recovery, and a harness that SIGKILLs
-# real worker subprocesses at seeded points — all required to converge
-# to the byte-identical single-process digest (DESIGN.md §9).
-crash-cluster:
-	$(GO) test -race -count=1 ./internal/cluster
-
-# crash-coordinator is the disaster-recovery proof: a real fraudcluster
-# coordinator subprocess is SIGKILLed — together with its whole worker
-# process group — at seeded manifest-barrier days, then the run is
-# finished with `fraudcluster -resume` and must print a digest
-# byte-identical to an uninterrupted run; a double-kill case repeats the
-# disaster mid-resume. The lineage corruption sweep (TestCrashLineage*,
-# part of `make crash`) is the matching checkpoint-damage proof.
-crash-coordinator:
-	$(GO) test -race -count=1 -run 'TestCrashCoordinator' ./cmd/fraudcluster
-
 # verify is the full pre-merge gate: static checks, build, the whole
 # suite (goldens, determinism, invariants, smoke tests, chaos) under the
-# race detector, the crash-safety sweeps (single-process, cluster, and
-# coordinator disaster recovery), and a short corpus-plus-exploration
-# pass over every fuzz target.
-verify: vet build race chaos crash crash-cluster crash-coordinator fuzz-smoke
+# race detector, the crash-safety sweeps (kill-point recovery and the
+# checkpoint-lineage corruption sweep), and a short
+# corpus-plus-exploration pass over every fuzz target.
+verify: vet build race chaos crash fuzz-smoke
 
 # golden regenerates every golden fixture (sim digests, per-experiment
 # report outputs, the façade quickstart). Only the packages that define
@@ -83,22 +65,15 @@ bench-dayloop:
 	$(GO) test ./internal/sim -run TestWriteDayloopBenchJSON \
 		-bench-dayloop-out $(CURDIR)/BENCH_dayloop.json -timeout 20m -v
 
-# bench-cluster measures the supervised shard cluster end to end per
-# shard count — end-to-day wall time, plus merger throughput (events/s
-# the merged replay folds) — and records BENCH_cluster.json.
-bench-cluster:
-	$(GO) test ./internal/cluster -run TestWriteClusterBenchJSON \
-		-bench-cluster-out $(CURDIR)/BENCH_cluster.json -timeout 20m -v
-
 # bench-router measures the routed adserver cluster under the
 # synthetic traffic harness: round-robin vs least-loaded on a scenario
 # with one slow member (p99 collapses when routing reads the in-flight
 # gauge) and round-robin vs keyword-affinity on a tight-capacity
 # cache-locality scenario (shed rate collapses when each keyword is
-# cached once cluster-wide). Appends the record to BENCH_cluster.json.
+# cached once cluster-wide). Appends the record to BENCH_router.json.
 bench-router:
 	$(GO) test ./internal/loadgen -run TestWriteRouterBenchJSON \
-		-bench-router-out $(CURDIR)/BENCH_cluster.json -timeout 20m -v
+		-bench-router-out $(CURDIR)/BENCH_router.json -timeout 20m -v
 
 # bench-all re-records both hot-path benchmark reports (serving and the
 # whole day loop) in one go; run it before and after a performance change
@@ -130,5 +105,4 @@ fuzz-smoke:
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzRecoverDir -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzRestoreCheckpoint -fuzztime 5s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzLineageLoad -fuzztime 5s
-	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzDecodeManifest -fuzztime 5s
 	$(GO) test ./internal/stats -run '^$$' -fuzz FuzzSubStreams -fuzztime 5s

@@ -13,19 +13,15 @@
 // read in write order) or a single segment file. repair takes log
 // directories only; ckpt takes FRSNAP checkpoint files.
 //
-//	stat    per-type record counts, day range, bytes, segment count;
-//	        with several paths (e.g. a cluster's shard-* log dirs) each
-//	        path gets its own block followed by merged totals
+//	stat    per-type record counts, day range, bytes, segment count
 //	cat     print matching records, one per line (-json for JSON lines)
 //	verify  walk every frame, checking CRCs and record encodings; on
-//	        damage, report the last CRC-valid byte offset and exit 1;
-//	        with several paths, damage is also rolled up per path so one
-//	        corrupt shard is identifiable at a glance
+//	        damage, report the last CRC-valid byte offset and exit 1
 //	repair  recover a crash-torn log directory: truncate the torn tail
 //	        to the last valid frame, finalize the unsealed segment, and
 //	        rewrite the manifest (-dry-run reports without touching it)
-//	ckpt    inspect checkpoint files — a lineage like shard-0.frsnap
-//	        shard-0.frsnap.1 shard-0.frsnap.2, or a quarantined
+//	ckpt    inspect checkpoint files — a lineage like run.frsnap
+//	        run.frsnap.1 run.frsnap.2, or a quarantined
 //	        *.corrupt — printing version, day, phase cursor, log
 //	        position, and CRC state per file; exit 1 if any is invalid
 package main
@@ -139,8 +135,7 @@ func typeNameList() string {
 	return strings.Join(names, ", ")
 }
 
-// statBlock accumulates one stat report — a single path's, or the
-// merged totals across paths.
+// statBlock accumulates one stat report.
 type statBlock struct {
 	segments       int
 	bytes          int64
@@ -176,24 +171,6 @@ func statSegments(segs []string) (*statBlock, error) {
 	return b, nil
 }
 
-// add folds another block into the merged totals.
-func (b *statBlock) add(o *statBlock) {
-	if o.events > 0 {
-		if b.events == 0 || o.minDay < b.minDay {
-			b.minDay = o.minDay
-		}
-		if b.events == 0 || o.maxDay > b.maxDay {
-			b.maxDay = o.maxDay
-		}
-	}
-	b.segments += o.segments
-	b.bytes += o.bytes
-	b.events += o.events
-	for t, n := range o.counts {
-		b.counts[t] += n
-	}
-}
-
 func (b *statBlock) print(w io.Writer) {
 	fmt.Fprintf(w, "segments  %d\n", b.segments)
 	fmt.Fprintf(w, "bytes     %d\n", b.bytes)
@@ -214,39 +191,15 @@ func runStat(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	inputs := fs.Args()
-	if len(inputs) <= 1 {
-		segs, err := resolve(inputs)
-		if err != nil {
-			return err
-		}
-		b, err := statSegments(segs)
-		if err != nil {
-			return err
-		}
-		b.print(stdout)
-		return nil
+	segs, err := resolve(fs.Args())
+	if err != nil {
+		return err
 	}
-
-	// Several paths — shard log dirs, typically: one block per path so
-	// skew between shards is visible, then the merged totals.
-	merged := &statBlock{counts: map[eventlog.Type]uint64{}}
-	for _, p := range inputs {
-		segs, err := resolve([]string{p})
-		if err != nil {
-			return err
-		}
-		b, err := statSegments(segs)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "== %s\n", p)
-		b.print(stdout)
-		fmt.Fprintln(stdout)
-		merged.add(b)
+	b, err := statSegments(segs)
+	if err != nil {
+		return err
 	}
-	fmt.Fprintf(stdout, "== merged (%d paths)\n", len(inputs))
-	merged.print(stdout)
+	b.print(stdout)
 	return nil
 }
 
@@ -335,55 +288,28 @@ func runVerify(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	inputs := fs.Args()
-	if len(inputs) == 0 {
-		_, err := resolve(inputs) // produces the canonical no-paths error
+	segs, err := resolve(fs.Args())
+	if err != nil {
 		return err
 	}
 
 	// Every segment is walked to its end even after another is found
-	// damaged, so one bad file does not hide the state of the rest. With
-	// several input paths, damage is additionally rolled up per path, so
-	// a cluster operator sees which shard dir is hurt without reading
-	// every segment line.
-	multi := len(inputs) > 1
-	totalBad, totalSegs := 0, 0
-	var damaged []string
-	for _, in := range inputs {
-		segs, err := resolve([]string{in})
+	// damaged, so one bad file does not hide the state of the rest.
+	bad := 0
+	for _, p := range segs {
+		frames, valid, err := verifyFile(p)
 		if err != nil {
-			return err
+			bad++
+			fmt.Fprintf(stdout, "%s: CORRUPT after %d good frames, last valid byte offset %d: %v\n",
+				p, frames, valid, err)
+			continue
 		}
-		bad := 0
-		for _, p := range segs {
-			frames, valid, err := verifyFile(p)
-			if err != nil {
-				bad++
-				fmt.Fprintf(stdout, "%s: CORRUPT after %d good frames, last valid byte offset %d: %v\n",
-					p, frames, valid, err)
-				continue
-			}
-			if !*quiet {
-				fmt.Fprintf(stdout, "%s: ok (%d frames, %d bytes)\n", p, frames, valid)
-			}
-		}
-		totalBad += bad
-		totalSegs += len(segs)
-		if multi {
-			if bad > 0 {
-				damaged = append(damaged, in)
-				fmt.Fprintf(stdout, "== %s: %d of %d segments corrupt\n", in, bad, len(segs))
-			} else if !*quiet {
-				fmt.Fprintf(stdout, "== %s: ok (%d segments)\n", in, len(segs))
-			}
+		if !*quiet {
+			fmt.Fprintf(stdout, "%s: ok (%d frames, %d bytes)\n", p, frames, valid)
 		}
 	}
-	if totalBad > 0 {
-		if multi {
-			return fmt.Errorf("logtool: %d of %d segments corrupt (damaged: %s)",
-				totalBad, totalSegs, strings.Join(damaged, ", "))
-		}
-		return fmt.Errorf("logtool: %d of %d segments corrupt", totalBad, totalSegs)
+	if bad > 0 {
+		return fmt.Errorf("logtool: %d of %d segments corrupt", bad, len(segs))
 	}
 	return nil
 }
@@ -447,7 +373,7 @@ func runRepair(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// runCkpt triages FRSNAP checkpoint files: the disaster-recovery
+// runCkpt triages FRSNAP checkpoint files: the crash recovery
 // runbook's first move when a resume refuses a lineage is to see which
 // generations are intact without gob-decoding anything by hand. Every
 // file is reported even after one is found bad; any invalid file makes

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/backoff"
 	"repro/internal/market"
 	"repro/internal/queries"
 	"repro/internal/stats"
@@ -19,10 +20,10 @@ import (
 )
 
 // RetryPolicy governs how the client retries transient failures:
-// transport errors, 429 (shed) and 5xx responses. Backoff doubles from
-// BaseDelay up to MaxDelay, with multiplicative jitter of ±JitterFrac
-// drawn from the client's seeded RNG so retry schedules are
-// reproducible. A 429's Retry-After hint, when longer than the computed
+// transport errors, 429 (shed) and 5xx responses. Backoff follows
+// backoff.Schedule: it doubles from BaseDelay, with multiplicative
+// jitter of ±JitterFrac drawn from the client's seeded RNG so retry
+// schedules are reproducible, and never exceeds MaxDelay. A 429's Retry-After hint, when longer than the computed
 // backoff, wins. The total budget is bounded both by MaxAttempts and by
 // the request context's deadline: the client never sleeps past either.
 type RetryPolicy struct {
@@ -42,13 +43,12 @@ func DefaultRetryPolicy() RetryPolicy {
 // attempt just failed), folding in jitter and the server's Retry-After
 // hint.
 func (p RetryPolicy) delay(attempt int, retryAfter time.Duration, rng *stats.RNG) time.Duration {
-	d := p.BaseDelay << (attempt - 1)
-	if d > p.MaxDelay || d <= 0 {
-		d = p.MaxDelay
-	}
+	s := backoff.Schedule{Base: p.BaseDelay, Cap: p.MaxDelay}
+	var u float64
 	if p.JitterFrac > 0 && rng != nil {
-		d = time.Duration(float64(d) * (1 + p.JitterFrac*(2*rng.Float64()-1)))
+		s.Jitter, u = p.JitterFrac, rng.Float64()
 	}
+	d := s.Delay(attempt-1, u)
 	if retryAfter > d {
 		d = retryAfter
 	}

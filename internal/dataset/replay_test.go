@@ -92,8 +92,8 @@ func TestReplayDirEquivalence(t *testing.T) {
 // TestReplayerOrderInsensitiveAcrossAccounts proves the aggregate folds
 // commute across accounts: replaying a stream reordered by account —
 // with each account's own events kept in order — reproduces the same
-// activity/window/click digests. This is the property sharded serving
-// relies on when per-shard logs are fanned back in. (Only the raw
+// activity/window/click digests. This is the property the sharded
+// serving loop's per-shard folds rely on. (Only the raw
 // detection record *list* retains stream order, so it is excluded.)
 func TestReplayerOrderInsensitiveAcrossAccounts(t *testing.T) {
 	if testing.Short() {
@@ -131,5 +131,46 @@ func TestReplayerOrderInsensitiveAcrossAccounts(t *testing.T) {
 
 	if got, want := replay(reordered), replay(sink.Events); got != want {
 		t.Fatalf("replay is order-sensitive across accounts:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestReplayerLegacyDayEndIsNoOp pins that logs carrying the legacy
+// TypeDayEnd day-barrier marker still replay: a marker after every
+// simulated day leaves every replayed digest unchanged and is only
+// counted in Skipped.
+func TestReplayerLegacyDayEndIsNoOp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation")
+	}
+	var sink eventlog.SliceSink
+	cfg := replayConfig()
+	cfg.Days = 20
+	cfg.Events = &sink
+	sim.New(cfg).Run()
+
+	marked := make([]eventlog.Event, 0, len(sink.Events)+int(cfg.Days))
+	markers := 0
+	for i, ev := range sink.Events {
+		marked = append(marked, ev)
+		if i+1 == len(sink.Events) || sink.Events[i+1].Day != ev.Day {
+			marked = append(marked, eventlog.Event{Type: eventlog.TypeDayEnd, Day: ev.Day})
+			markers++
+		}
+	}
+
+	replay := func(events []eventlog.Event) (testutil.CollectorDigestSet, uint64) {
+		rep := dataset.NewReplayer(dataset.NewCollector(cfg.Windows, cfg.SampleWindow))
+		for _, ev := range events {
+			rep.Append(ev)
+		}
+		return testutil.CollectorDigests(rep.Collector()), rep.Skipped
+	}
+	want, wantSkipped := replay(sink.Events)
+	got, gotSkipped := replay(marked)
+	if got != want {
+		t.Fatalf("day-end markers changed the replay:\n got %+v\nwant %+v", got, want)
+	}
+	if gotSkipped != wantSkipped+uint64(markers) {
+		t.Fatalf("Skipped = %d, want %d + %d markers", gotSkipped, wantSkipped, markers)
 	}
 }

@@ -77,6 +77,34 @@ func TestRoundTripAllTypes(t *testing.T) {
 	}
 }
 
+// TestLegacyDayEndRoundTrip pins the legacy TypeDayEnd code: older
+// logs carry header-only day-barrier markers, and they must still
+// encode, decode, filter and name exactly as before.
+func TestLegacyDayEndRoundTrip(t *testing.T) {
+	if TypeDayEnd != 9 || TypeDayEnd.String() != "day-end" {
+		t.Fatalf("TypeDayEnd = %d %q, want 9 \"day-end\" (on-disk code)", TypeDayEnd, TypeDayEnd)
+	}
+	var events []Event
+	for _, ev := range sampleEvents() {
+		events = append(events, ev, Event{Type: TypeDayEnd, Day: ev.Day})
+	}
+	data := writeLog(t, events)
+	got, err := readAll(NewReader(bytes.NewReader(data), Filter{}))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if !reflect.DeepEqual(got, events) {
+		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, events)
+	}
+	markers, err := readAll(NewReader(bytes.NewReader(data), Filter{Types: TypeMask(TypeDayEnd)}))
+	if err != nil {
+		t.Fatalf("filtered read: %v", err)
+	}
+	if len(markers) != len(sampleEvents()) {
+		t.Fatalf("type filter kept %d day-end markers, want %d", len(markers), len(sampleEvents()))
+	}
+}
+
 func TestInterningShrinksRepeats(t *testing.T) {
 	ev := Event{Type: TypeImpression, Day: 1, Account: 1, Country: "elbonia-south", Position: 1}
 	var one, many bytes.Buffer

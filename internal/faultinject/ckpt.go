@@ -1,10 +1,9 @@
 package faultinject
 
-// Checkpoint-corruption profiles for the disaster-recovery chaos suite:
-// where ProcFaults kills a whole worker process, CkptFaults damages a
-// checkpoint file on disk *after* the atomic write succeeded — the bit
-// rot, torn truncation, and zero-filled pages real hardware produces
-// between a run and its resume. The damage is a pure function of
+// Checkpoint-corruption profiles for the lineage recovery chaos suite:
+// CkptFaults damages a checkpoint file on disk *after* the atomic write
+// succeeded — the bit rot, torn truncation, and zero-filled pages real
+// hardware produces between a run and its resume. The damage is a pure function of
 // (injector seed, name, save index), so a given corruption sweep always
 // hurts the same bytes and a failing case replays exactly.
 
@@ -59,7 +58,7 @@ type CkptInjector struct {
 
 // Ckpt derives a checkpoint-corruption injector from the profile.
 // Damage sites are a pure function of (injector seed, name, save
-// index), mirroring Route, Writer, and Proc.
+// index), mirroring Route and Writer.
 func (in *Injector) Ckpt(name string, f CkptFaults) *CkptInjector {
 	return &CkptInjector{cfg: f, seed: in.seed, name: fnv64(name)}
 }

@@ -2,7 +2,7 @@ package loadgen
 
 // Router policy benchmark, `make bench-router`: measure round-robin
 // against least-loaded and affinity on scenarios built to expose their
-// structural advantages, and append the results to BENCH_cluster.json.
+// structural advantages, and append the results to BENCH_router.json.
 //
 // Two scenarios, two mechanisms:
 //
@@ -49,7 +49,7 @@ type RouterBenchRun struct {
 	CacheMiss int64   `json:"cache_misses"`
 }
 
-// RouterBenchReport is the router record appended to BENCH_cluster.json.
+// RouterBenchReport is the router record appended to BENCH_router.json.
 type RouterBenchReport struct {
 	Bench      string           `json:"bench"`
 	Config     string           `json:"config"`
@@ -160,7 +160,7 @@ func cacheAffinitySpec() Scenario {
 // TestWriteRouterBenchJSON is driven by `make bench-router`: it runs
 // both scenarios under round-robin and the challenger policy, asserts
 // the structural wins the scenarios are built to expose, and appends
-// the record to BENCH_cluster.json.
+// the record to BENCH_router.json.
 func TestWriteRouterBenchJSON(t *testing.T) {
 	if *benchRouterOut == "" {
 		t.Skip("pass -bench-router-out (or run `make bench-router`)")

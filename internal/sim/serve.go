@@ -36,7 +36,6 @@ package sim
 // matrix in serve_test.go).
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/auction"
@@ -262,9 +261,6 @@ func (s *Sim) serveQueries(day simclock.Day) {
 	if s.eng == nil {
 		s.eng = newServeEngine(s.resolveWorkers())
 	}
-	if s.shardSinks != nil && len(s.shardSinks) != s.eng.workers {
-		panic(fmt.Sprintf("sim: %d shard event sinks for %d workers", len(s.shardSinks), s.eng.workers))
-	}
 	if s.eng.workers > 1 {
 		s.serveQueriesSharded(day)
 	} else {
@@ -282,9 +278,6 @@ func (s *Sim) serveQueriesSequential(day simclock.Day) {
 	sh := s.eng.shards[0]
 	sh.ensureEpoch(s.p.Index().Epoch())
 	sink := s.events
-	if s.shardSinks != nil {
-		sink = s.shardSinks[0]
-	}
 	sh.events = sh.events[:0]
 	live := s.p.LiveSet()
 	for i := 0; i < s.cfg.QueriesPerDay; i++ {
@@ -405,14 +398,14 @@ func (s *Sim) serveQueriesSharded(day simclock.Day) {
 	e.states = stats.SubStreams(s.clickRNG, e.draws, e.states[:0])
 
 	// Phase D: click rolls and outcome staging from private substreams.
-	// Staging is per shard: a worker whose events would flush into a nil
-	// sink (a cluster replica that owns a different shard) skips the
-	// event buffer entirely — the rolls and folds are unaffected.
+	// Without an event sink the workers skip the event buffer entirely —
+	// the rolls and folds are unaffected.
+	stage := s.events != nil
 	for k := 0; k < e.workers; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			s.shardClicks(day, k, n, s.shardSinkFor(k) != nil)
+			s.shardClicks(day, k, n, stage)
 		}(k)
 	}
 	wg.Wait()
@@ -435,21 +428,10 @@ func (s *Sim) serveQueriesSharded(day simclock.Day) {
 			}
 			s.col.ApplyClick(day, *row)
 		}
-		if sink := s.shardSinkFor(k); sink != nil {
-			eventlog.AppendAll(sink, sh.events)
+		if stage {
+			eventlog.AppendAll(s.events, sh.events)
 		}
 	}
-}
-
-// shardSinkFor returns the sink worker k's serving events flush into at
-// the day barrier: its per-shard sink when sharded routing is active
-// (possibly nil — a cluster replica discarding shards it does not own),
-// the main sink otherwise.
-func (s *Sim) shardSinkFor(k int) eventlog.Sink {
-	if s.shardSinks != nil {
-		return s.shardSinks[k]
-	}
-	return s.events
 }
 
 // shardAuctions is phase B for one worker: resolve every query in the

@@ -201,9 +201,6 @@ type Sim struct {
 	eng *serveEngine
 
 	events eventlog.Sink
-	// shardSinks, when set, receives each serving shard's impression
-	// events instead of the main sink (see SetShardEventSinks).
-	shardSinks []eventlog.Sink
 
 	// day is the next day to simulate, phase the next phase of that day,
 	// and seeded records whether the initial population warmup has run.
@@ -300,24 +297,6 @@ func (s *Sim) resolveWorkers() int {
 		w = 1
 	}
 	return w
-}
-
-// SetShardEventSinks routes serving-impression events to one sink per
-// worker shard instead of the main Events sink: shard k's sink receives
-// exactly the impressions of shard k's queries, in query order, flushed
-// at each day barrier. Non-serving events (registrations, campaign
-// actions, detections) still go to the main sink, so the main log plus
-// the shard logs — merged per day, shards in order — reconstruct the
-// sequential engine's single log record for record. len(sinks) must
-// equal the effective worker count; nil restores single-sink routing.
-//
-// Individual entries may be nil: that shard's impressions are then
-// discarded instead of logged. A cluster replica (internal/cluster)
-// exploits this — every worker process computes the full trajectory but
-// keeps a sink only at its own shard index, so the replicas together
-// write each event exactly once.
-func (s *Sim) SetShardEventSinks(sinks []eventlog.Sink) {
-	s.shardSinks = sinks
 }
 
 // Platform exposes the underlying ad network (read access for analyses).

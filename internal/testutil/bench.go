@@ -1,10 +1,10 @@
 package testutil
 
-// Bench report files at the repo root (BENCH_cluster.json) hold an
+// Bench report files at the repo root (BENCH_router.json) hold an
 // append-only JSON array of records, one per `make bench-*` run, each
 // self-describing via its "bench" field. Appending rather than
-// overwriting keeps cluster-bench and router-bench history side by side
-// in one file so regressions are visible as a series, not a diff.
+// overwriting keeps each run's history in one file so regressions are
+// visible as a series, not a diff.
 
 import (
 	"encoding/json"
