@@ -60,7 +60,7 @@ func run(args []string, stderr io.Writer, stop <-chan os.Signal, onReady func(ne
 	seed := fs.Uint64("seed", 42, "simulation seed")
 	days := fs.Int("days", 0, "override bootstrap simulation days (0 = scale default)")
 	queries := fs.Int("queries", 0, "override bootstrap queries per day (0 = scale default)")
-	instance := fs.String("instance", "", "instance id stamped on X-Instance and /statz (empty = unset)")
+	instance := fs.String("instance", "", "instance id stamped on X-Instance and /stats (empty = unset)")
 	maxInflight := fs.Int("max-inflight", 256, "max concurrent /search requests before shedding with 429 (0 = unlimited)")
 	reqTimeout := fs.Duration("request-timeout", 2*time.Second, "per-request deadline for /search (0 = none)")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown drain grace period")

@@ -11,7 +11,7 @@ package adserver
 //
 // Cached hits skip the handler entirely, so they do not re-record
 // impression events or advance the served counter — a hit is a replay,
-// not a new auction. The hit/miss split is visible in /statz.
+// not a new auction. The hit/miss split is visible in /stats.
 
 import (
 	"container/list"

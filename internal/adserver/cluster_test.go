@@ -1,7 +1,7 @@
 package adserver
 
 // Tests for the cluster-facing server surface added for the routed
-// cluster: /statz, instance headers, the per-instance response cache,
+// cluster: /stats, instance headers, the per-instance response cache,
 // and the client's per-host Retry-After cooling.
 
 import (
@@ -34,21 +34,22 @@ func getPath(t *testing.T, h http.Handler, path string) *httptest.ResponseRecord
 	return rec
 }
 
-// TestStatzEndpoint pins the /statz contract the router's health loop
+// TestStatsEndpoint pins the /stats contract the router's health loop
 // and the bench reports read: instance identity, admission capacity,
-// served/shed counters, cache hit/miss split.
-func TestStatzEndpoint(t *testing.T) {
+// served/shed counters, cache hit/miss split, and the platform
+// aggregates fixed in New.
+func TestStatsEndpoint(t *testing.T) {
 	s, gen := serverFixture(t)
 	h := clusterHandler(t, s)
 	phrase := gen.UniverseFor(verticals.Downloads).Keywords[0].Phrase
 	searchPath := "/search?q=" + url.QueryEscape(phrase) + "&country=US"
 
-	read := func() Statz {
-		rec := getPath(t, h, "/statz")
+	read := func() Stats {
+		rec := getPath(t, h, "/stats")
 		if rec.Code != http.StatusOK {
-			t.Fatalf("/statz status %d", rec.Code)
+			t.Fatalf("/stats status %d", rec.Code)
 		}
-		var z Statz
+		var z Stats
 		if err := json.Unmarshal(rec.Body.Bytes(), &z); err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +58,13 @@ func TestStatzEndpoint(t *testing.T) {
 
 	z := read()
 	if z.Instance != "i7" || z.Capacity != 8 {
-		t.Fatalf("statz identity: %+v", z)
+		t.Fatalf("stats identity: %+v", z)
+	}
+	if z.Accounts != 5 || z.LiveAds != 5 || z.IndexBids != 5 {
+		t.Fatalf("platform aggregates: %+v", z)
+	}
+	if z != s.Stats() {
+		t.Fatalf("/stats reply %+v differs from the in-process snapshot %+v", z, s.Stats())
 	}
 	if z.Served != 0 || z.CacheHits != 0 || z.CacheMiss != 0 {
 		t.Fatalf("fresh server has history: %+v", z)

@@ -129,7 +129,7 @@ func (g *InFlightGauge) Capacity() int64 {
 // 429 + Retry-After instead of queueing unboundedly behind a slow
 // backend. retryAfter is the hint sent to clients (rounded up to whole
 // seconds for the header); onShed (optional) observes each rejection;
-// gauge (optional) tracks live occupancy for /statz and the X-Inflight
+// gauge (optional) tracks live occupancy for /stats and the X-Inflight
 // header.
 func Admission(maxInFlight int, retryAfter time.Duration, onShed func(), gauge *InFlightGauge) Middleware {
 	slots := make(chan struct{}, maxInFlight)

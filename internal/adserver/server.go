@@ -1,11 +1,14 @@
 // Package adserver exposes the ad platform the way Bing's serving stack
 // fronts its auction: an HTTP service that accepts live search queries,
 // resolves them against the keyword universes, runs the auction, rolls
-// the click model, and returns the rendered ad block as JSON.
+// the click model, and returns the rendered ad block as JSON. The page —
+// eligibility, auction, position-biased click probabilities and rolls —
+// comes from internal/serving, the page path the simulator serves its
+// days through.
 //
 // The server operates over a read-only snapshot of a simulated platform
 // (accounts frozen, index immutable), so request handling is lock-free
-// and safe for arbitrary concurrency; per-request auction scratch comes
+// and safe for arbitrary concurrency; per-request page scratch comes
 // from a sync.Pool. Click rolls are a pure function of (server seed,
 // query, country), so identical requests produce identical responses
 // regardless of request order or concurrency — the property the golden
@@ -32,10 +35,12 @@ import (
 
 	"repro/internal/adcopy"
 	"repro/internal/auction"
+	"repro/internal/clicks"
 	"repro/internal/eventlog"
 	"repro/internal/market"
 	"repro/internal/platform"
 	"repro/internal/queries"
+	"repro/internal/serving"
 	"repro/internal/stats"
 	"repro/internal/verticals"
 )
@@ -51,11 +56,14 @@ type kwRef struct {
 // Server is the HTTP ad front end.
 type Server struct {
 	p    *platform.Platform
-	cfg  auction.Config
+	core serving.Engine
+	// live is the platform's liveness bitmap, stamped once in New: the
+	// platform is frozen, so the stamp never goes stale.
+	live []bool
 	gen  *queries.Generator
 	mux  *http.ServeMux
 	seed uint64
-	scr  sync.Pool // *auction.Scratch
+	scr  sync.Pool // *searchScratch
 
 	// exact maps a canonical keyword phrase to its reference; tokens is
 	// an inverted token index for fuzzy resolution.
@@ -68,11 +76,15 @@ type Server struct {
 	events eventlog.Sink
 
 	// instance/inflight/cache are set by Handler from its Options; they
-	// feed /statz and the X-Instance / X-Inflight response headers the
+	// feed /stats and the X-Instance / X-Inflight response headers the
 	// cluster router consumes.
 	instance string
 	inflight *InFlightGauge
 	cache    *responseCache
+
+	// Platform aggregates for /stats, computed once in New: the platform
+	// is frozen.
+	accounts, liveAds, indexBids int
 
 	served   atomic.Int64
 	clicks   atomic.Int64
@@ -86,14 +98,18 @@ type Server struct {
 // generator supplies the keyword universes used for query resolution.
 func New(p *platform.Platform, gen *queries.Generator, cfg auction.Config, seed uint64) *Server {
 	s := &Server{
-		p:      p,
-		cfg:    cfg,
-		gen:    gen,
-		seed:   seed,
-		exact:  make(map[string]kwRef),
-		tokens: make(map[string][]kwRef),
+		p:         p,
+		core:      serving.Engine{P: p, Auction: cfg, Model: clicks.DefaultModel()},
+		live:      p.LiveSet(),
+		gen:       gen,
+		seed:      seed,
+		exact:     make(map[string]kwRef),
+		tokens:    make(map[string][]kwRef),
+		accounts:  p.NumAccounts(),
+		liveAds:   p.LiveAds(),
+		indexBids: p.Index().Len(),
 	}
-	s.scr.New = func() interface{} { return &auction.Scratch{} }
+	s.scr.New = func() interface{} { return &searchScratch{} }
 
 	for vi := range verticals.All() {
 		u := gen.Universe(vi)
@@ -118,7 +134,6 @@ func New(p *platform.Platform, gen *queries.Generator, cfg auction.Config, seed 
 	s.mux.HandleFunc("/healthz", s.handleHealth)
 	s.mux.HandleFunc("/readyz", s.handleReady)
 	s.mux.HandleFunc("/stats", s.handleStats)
-	s.mux.HandleFunc("/statz", s.handleStatz)
 	return s
 }
 
@@ -148,7 +163,7 @@ type Options struct {
 	// whole seconds for the header). Defaults to 1s when zero.
 	RetryAfter time.Duration
 	// InstanceID, when non-empty, is stamped on every /search response
-	// as X-Instance and reported by /statz, so a fronting router can
+	// as X-Instance and reported by /stats, so a fronting router can
 	// attribute traffic per member. Cluster harnesses assign "i0","i1",…
 	InstanceID string
 	// CacheSize, when > 0, enables the per-instance /search response
@@ -206,7 +221,6 @@ func (s *Server) Handler(opts Options) http.Handler {
 	m.Handle("/stats", wrap("/stats", http.HandlerFunc(s.handleStats)))
 	m.HandleFunc("/healthz", s.handleHealth)
 	m.HandleFunc("/readyz", s.handleReady)
-	m.HandleFunc("/statz", s.handleStatz)
 
 	return Chain(m, RequestID(), Recover(func(interface{}) { s.panics.Add(1) }))
 }
@@ -364,18 +378,16 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeTimeout(w, r, "admission")
 		return
 	}
-	alive := func(id platform.AccountID) bool { return s.p.MustAccount(id).Alive() }
-	eligible := s.p.Index().Eligible(ref.vertical, country, ref.keywordID, ref.cluster, form, alive)
-
-	scr := s.scr.Get().(*auction.Scratch)
-	res := auction.RunInto(s.cfg, eligible, form, scr)
+	sc := s.scr.Get().(*searchScratch)
+	defer s.scr.Put(sc)
+	pg := &sc.page
+	s.core.Fill(pg, s.p.Index().Sublists(ref.vertical, country), ref.keywordID, ref.cluster, form, s.live, &sc.scr)
 	if ctx.Err() != nil {
-		s.scr.Put(scr)
 		s.writeTimeout(w, r, "auction")
 		return
 	}
 
-	rng := s.clickRNG(q, country)
+	sc.clicked = pg.RollClicks(s.clickRNG(q, country), sc.clicked)
 	resp := SearchResponse{
 		Query:    q,
 		Vertical: string(ref.vertical),
@@ -383,9 +395,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Form:     form.String(),
 		Country:  string(country),
 	}
-	for _, pl := range res.Placements {
-		clicked := rng.Bool(0.1 * pl.Ref.Ad.Quality * pl.Relevance)
+	ci := 0
+	for pi := range pg.Placements {
+		pl := &pg.Placements[pi]
+		clicked := ci < len(sc.clicked) && sc.clicked[ci] == pi
+		amount := 0.0
 		if clicked {
+			ci++
+			amount = pl.Price
 			s.clicks.Add(1)
 		}
 		if s.events != nil {
@@ -396,10 +413,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			var flags uint8
 			if clicked {
 				flags |= eventlog.FlagClicked
-			}
-			amount := 0.0
-			if clicked {
-				amount = pl.Price
 			}
 			s.events.Append(eventlog.Event{
 				Type:     eventlog.TypeImpression,
@@ -424,7 +437,6 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			Clicked:    clicked,
 		})
 	}
-	s.scr.Put(scr)
 	s.served.Add(1)
 	writeJSON(w, resp)
 }
@@ -448,60 +460,60 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, map[string]string{"status": "ready"})
 }
 
-// Stats is the /stats reply.
-type Stats struct {
-	Served    int64 `json:"served"`
-	Clicks    int64 `json:"clicks"`
-	NoMatch   int64 `json:"noMatch"`
-	Shed      int64 `json:"shed"`
-	Panics    int64 `json:"panics"`
-	Timeouts  int64 `json:"timeouts"`
-	Accounts  int   `json:"accounts"`
-	LiveAds   int   `json:"liveAds"`
-	IndexBids int   `json:"indexBids"`
+// searchScratch is one request's reusable page-path state.
+type searchScratch struct {
+	scr     serving.Scratch
+	page    serving.Page
+	clicked []int
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, Stats{
+// Stats is the /stats reply: the request counters, the instance's
+// identity and admission occupancy (the least-loaded router polls
+// inflight/capacity), the response-cache split, and the frozen
+// platform's aggregates. Every field is a counter read or a value fixed
+// in New, so polling it every few hundred milliseconds is free.
+type Stats struct {
+	Served    int64  `json:"served"`
+	Clicks    int64  `json:"clicks"`
+	NoMatch   int64  `json:"noMatch"`
+	Shed      int64  `json:"shed"`
+	Panics    int64  `json:"panics"`
+	Timeouts  int64  `json:"timeouts"`
+	Accounts  int    `json:"accounts"`
+	LiveAds   int    `json:"liveAds"`
+	IndexBids int    `json:"indexBids"`
+	Instance  string `json:"instance"`
+	InFlight  int64  `json:"inflight"`
+	Capacity  int64  `json:"capacity"`
+	CacheHits int64  `json:"cacheHits"`
+	CacheMiss int64  `json:"cacheMisses"`
+}
+
+// Stats snapshots the /stats reply in process.
+func (s *Server) Stats() Stats {
+	st := Stats{
 		Served:    s.served.Load(),
 		Clicks:    s.clicks.Load(),
 		NoMatch:   s.noMatch.Load(),
 		Shed:      s.shed.Load(),
 		Panics:    s.panics.Load(),
 		Timeouts:  s.timeouts.Load(),
-		Accounts:  s.p.NumAccounts(),
-		LiveAds:   s.p.LiveAds(),
-		IndexBids: s.p.Index().Len(),
-	})
-}
-
-// Statz is the /statz reply: the cheap admission-gauge probe the
-// cluster router polls for least-loaded routing. Unlike /stats it
-// carries no platform aggregates — just identity and live occupancy —
-// so polling it every few hundred milliseconds is free.
-type Statz struct {
-	Instance  string `json:"instance"`
-	InFlight  int64  `json:"inflight"`
-	Capacity  int64  `json:"capacity"`
-	Served    int64  `json:"served"`
-	Shed      int64  `json:"shed"`
-	CacheHits int64  `json:"cacheHits"`
-	CacheMiss int64  `json:"cacheMisses"`
-}
-
-func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
-	z := Statz{
-		Instance: s.instance,
-		InFlight: s.inflight.Load(),
-		Capacity: s.inflight.Capacity(),
-		Served:   s.served.Load(),
-		Shed:     s.shed.Load(),
+		Accounts:  s.accounts,
+		LiveAds:   s.liveAds,
+		IndexBids: s.indexBids,
+		Instance:  s.instance,
+		InFlight:  s.inflight.Load(),
+		Capacity:  s.inflight.Capacity(),
 	}
 	if s.cache != nil {
-		z.CacheHits = s.cache.hits.Load()
-		z.CacheMiss = s.cache.misses.Load()
+		st.CacheHits = s.cache.hits.Load()
+		st.CacheMiss = s.cache.misses.Load()
 	}
-	writeJSON(w, z)
+	return st
+}
+
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, s.Stats())
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {
@@ -521,5 +533,5 @@ func writeJSONBody(w http.ResponseWriter, v interface{}) {
 
 // String summarizes the server for logs.
 func (s *Server) String() string {
-	return fmt.Sprintf("adserver(accounts=%d liveAds=%d)", s.p.NumAccounts(), s.p.LiveAds())
+	return fmt.Sprintf("adserver(accounts=%d liveAds=%d)", s.accounts, s.liveAds)
 }

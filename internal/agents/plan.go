@@ -2,9 +2,9 @@ package agents
 
 // Plan/apply split of the daily campaign-management step.
 //
-// Step used to be one fused loop: draw a decision, mutate the platform,
-// repeat. To run agents on a worker pool without perturbing a seeded run,
-// the step is split into two halves with a strict contract:
+// One day of campaign management draws a decision, mutates the platform,
+// and repeats. To run agents on a worker pool without perturbing a seeded
+// run, the step is split into two halves with a strict contract:
 //
 //   - PlanStep is read-only. Every behavioral decision and every RNG draw
 //     happens here, against frozen platform state, recorded into a
@@ -16,19 +16,19 @@ package agents
 //     collector records, event emission — with no RNG draws from the
 //     agent's stream. The simulation goroutine applies plans in canonical
 //     (live-list) order, so index insertion order, collector folds and
-//     event-log bytes match the fused sequential loop exactly.
+//     event-log bytes match planning and applying one agent at a time.
 //
 // The one subtlety is that decisions reference the evolving ad list: a
 // churn victim is drawn from the ads present *after* this morning's
 // builds, and CreateAd appends while RetireAd swap-removes. PlanStep
 // mirrors that evolution symbolically (adsSim tracks each slot's bid
 // count), so the Intn draws that pick victims and maintenance targets
-// land on exactly the ads the fused loop would have picked.
+// land on exactly the ads an interleaved decide-and-mutate loop would
+// have picked.
 //
 // Shared-stream draws are split by half: the agent's private stream is
 // consumed entirely at plan time; the runtime's shared ad-copy generator
-// (FullCreatives only) is consumed at apply time, in canonical order —
-// the same order the fused loop consumed it.
+// (FullCreatives only) is consumed at apply time, in canonical order.
 
 import (
 	"fmt"
@@ -175,8 +175,7 @@ func (r *Runtime) PlanStep(a *Agent, day simclock.Day, plan *StepPlan) {
 }
 
 // planCreateAd draws one ad creation — domain, keywords, quality, stamp,
-// match types and bid amounts — and records it. The draw sequence is
-// exactly the fused createAd's.
+// match types and bid amounts — and records it.
 func (r *Runtime) planCreateAd(a *Agent, day simclock.Day, created simclock.Stamp, plan *StepPlan) {
 	u := r.universe(a.VerticalIdx)
 	if u == nil || u.Size() == 0 {
@@ -261,7 +260,8 @@ func (r *Runtime) planCreateAd(a *Agent, day simclock.Day, created simclock.Stam
 // records and event emissions, in recorded order. It returns the number
 // of ads created. It must run on the simulation goroutine; plans are
 // applied in canonical agent order so every order-sensitive byte (index
-// insertion, shared creative stream, event log) matches the fused loop.
+// insertion, shared creative stream, event log) lands at any worker count
+// as it does at one.
 func (r *Runtime) ApplyStep(a *Agent, day simclock.Day, plan *StepPlan) int {
 	if !plan.active {
 		return 0

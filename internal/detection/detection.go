@@ -376,12 +376,12 @@ func (d *Pipeline) SetWorkers(n int) {
 //
 // The sweep is freeze-then-merge: the scan half reads frozen platform
 // state (its own account's counters, the ledger) and draws only from the
-// account's private stream, so with Workers > 1 it fans out over
-// contiguous ID blocks; the enforcement half — shutdowns, collector
+// account's private stream, so it fans out over contiguous ID blocks,
+// one per worker; the enforcement half — shutdowns, collector
 // records, events, counters — runs on the caller's goroutine in ID
-// order. With one worker the two halves run fused per account, which
-// yields the same bytes: a scan depends only on its own account, never
-// on an earlier account's enforcement.
+// order. Scanning every account before enforcing any yields the same
+// bytes as interleaving them: a scan depends only on its own account,
+// never on an earlier account's enforcement.
 func (d *Pipeline) EndOfDay(day simclock.Day) []platform.AccountID {
 	// Everything due before the next day begins is enforced tonight; a
 	// due date in the last millisecond of today must not buy the account
@@ -390,30 +390,7 @@ func (d *Pipeline) EndOfDay(day simclock.Day) []platform.AccountID {
 	banActive := day >= d.cfg.TechSupportBanDay
 	var shut []platform.AccountID
 	n := len(d.states)
-	w := d.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i, s := range d.states {
-			if s == nil {
-				continue
-			}
-			acct := d.p.MustAccount(s.id)
-			if acct.Status != platform.StatusActive {
-				d.states[i] = nil
-				d.monitored--
-				continue
-			}
-			if due, stage, hit := d.scanAccount(s, acct, dayEnd, banActive); hit {
-				shut = d.enforce(s, due, stage, shut)
-				d.states[i] = nil
-				d.monitored--
-			}
-		}
-		return shut
-	}
-
+	w := min(max(d.workers, 1), n)
 	for len(d.shards) < w {
 		d.shards = append(d.shards, nil)
 	}

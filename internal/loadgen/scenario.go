@@ -183,7 +183,7 @@ type ScenarioReport struct {
 	Scheduled int                `json:"scheduled"` // materialized arrivals
 	Load      metrics.RunReport  `json:"load"`
 	Router    router.Stats       `json:"router"`
-	Backends  []adserver.Statz   `json:"backends"`
+	Backends  []adserver.Stats   `json:"backends"`
 	Injected  []InjectedBackends `json:"injected,omitempty"`
 }
 
@@ -210,7 +210,7 @@ func (r ScenarioReport) Normalize() ScenarioReport {
 		out.Router.Backends[i].InFlight = 0
 		out.Router.Backends[i].Reported = 0
 	}
-	out.Backends = append([]adserver.Statz(nil), r.Backends...)
+	out.Backends = append([]adserver.Stats(nil), r.Backends...)
 	for i := range out.Backends {
 		out.Backends[i].InFlight = 0
 	}
@@ -376,7 +376,7 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 		Router:    rt.Stats(),
 	}
 	for i, in := range instances {
-		out.Backends = append(out.Backends, statzOf(in.srv))
+		out.Backends = append(out.Backends, in.srv.Stats())
 		if _, ok := faultsByBackend[i]; ok {
 			bs := inj.BackendStats(in.name)
 			out.Injected = append(out.Injected, InjectedBackends{
@@ -385,37 +385,6 @@ func RunScenario(spec Scenario, logf func(format string, args ...interface{})) (
 		}
 	}
 	return out, nil
-}
-
-// statzOf reads an instance's statz snapshot in-process (no HTTP round
-// trip, and no perturbation of its request counters).
-func statzOf(srv *adserver.Server) adserver.Statz {
-	rec := newStatzRecorder()
-	srv.ServeHTTP(rec, mustRequest("/statz"))
-	var z adserver.Statz
-	_ = json.Unmarshal(rec.body, &z)
-	return z
-}
-
-type statzRecorder struct {
-	h    http.Header
-	body []byte
-}
-
-func newStatzRecorder() *statzRecorder       { return &statzRecorder{h: make(http.Header)} }
-func (r *statzRecorder) Header() http.Header { return r.h }
-func (r *statzRecorder) WriteHeader(int)     {}
-func (r *statzRecorder) Write(p []byte) (int, error) {
-	r.body = append(r.body, p...)
-	return len(p), nil
-}
-
-func mustRequest(path string) *http.Request {
-	req, err := http.NewRequest(http.MethodGet, path, nil)
-	if err != nil {
-		panic(err)
-	}
-	return req
 }
 
 // simScenarioConfig maps the scenario's bootstrap knobs onto sim.Config.

@@ -31,8 +31,6 @@ func indexFixture(t *testing.T) (*Platform, *Account) {
 	return p, a
 }
 
-func alwaysAlive(AccountID) bool { return true }
-
 func TestMatchesSemantics(t *testing.T) {
 	// Exact: same keyword, bare form only.
 	if !Matches(MatchExact, 3, 3, true, FormBare) {
@@ -85,38 +83,76 @@ func TestMatchesHierarchyProperty(t *testing.T) {
 	}
 }
 
+// eligible runs the serving lookup: resolve the (vertical, market)
+// sublists and filter them against the stamped liveness bitmap.
+func eligible(p *Platform, v verticals.Vertical, c market.Country, kw, cl int, form QueryForm) []BidRef {
+	return p.Index().Sublists(v, c).EligibleAppendLive(nil, kw, cl, form, p.LiveSet())
+}
+
 func TestEligibleByForm(t *testing.T) {
 	p, _ := indexFixture(t)
-	x := p.Index()
 	// Bare query on keyword 3: exact + phrase + broad all eligible.
-	if got := x.Eligible(verticals.Games, market.US, 3, 1, FormBare, alwaysAlive); len(got) != 3 {
+	if got := eligible(p, verticals.Games, market.US, 3, 1, FormBare); len(got) != 3 {
 		t.Fatalf("bare: %d eligible, want 3", len(got))
 	}
 	// Extended: phrase + broad.
-	if got := x.Eligible(verticals.Games, market.US, 3, 1, FormExtended, alwaysAlive); len(got) != 2 {
+	if got := eligible(p, verticals.Games, market.US, 3, 1, FormExtended); len(got) != 2 {
 		t.Fatalf("extended: %d eligible, want 2", len(got))
 	}
 	// Reordered: broad only.
-	if got := x.Eligible(verticals.Games, market.US, 3, 1, FormReordered, alwaysAlive); len(got) != 1 {
+	if got := eligible(p, verticals.Games, market.US, 3, 1, FormReordered); len(got) != 1 {
 		t.Fatalf("reordered: %d eligible, want 1", len(got))
 	}
 	// Different keyword in the same cluster: broad only.
-	if got := x.Eligible(verticals.Games, market.US, 7, 1, FormBare, alwaysAlive); len(got) != 1 {
+	if got := eligible(p, verticals.Games, market.US, 7, 1, FormBare); len(got) != 1 {
 		t.Fatalf("same-cluster other keyword: %d eligible, want 1", len(got))
 	}
 	// Different cluster: nothing.
-	if got := x.Eligible(verticals.Games, market.US, 9, 2, FormBare, alwaysAlive); len(got) != 0 {
+	if got := eligible(p, verticals.Games, market.US, 9, 2, FormBare); len(got) != 0 {
 		t.Fatalf("other cluster: %d eligible, want 0", len(got))
+	}
+}
+
+// TestEligibleFollowsMatches checks the posting-list lookup against the
+// match-type specification: for a single bid of each match type on
+// keyword 3 (cluster 1), every query keyword, cluster and form finds the
+// bid exactly when Matches says it matches.
+func TestEligibleFollowsMatches(t *testing.T) {
+	for _, m := range MatchTypes {
+		p := New()
+		a := p.Register(RegistrationRequest{Country: market.US, PrimaryVertical: verticals.Games})
+		if err := p.Approve(a.ID); err != nil {
+			t.Fatal(err)
+		}
+		ad, err := p.CreateAd(a.ID, verticals.Games, market.US, adcopy.Creative{}, 0.5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.AddBid(ad, KeywordBid{KeywordID: 3, Cluster: 1, Match: m, MaxBid: 1}, 0); err != nil {
+			t.Fatal(err)
+		}
+		for _, kw := range []int{3, 7} {
+			for _, cl := range []int{1, 2} {
+				for _, form := range []QueryForm{FormBare, FormExtended, FormReordered} {
+					if kw == 3 && cl != 1 {
+						continue // keyword 3 lives in cluster 1
+					}
+					want := Matches(m, 3, kw, cl == 1, form)
+					if got := len(eligible(p, verticals.Games, market.US, kw, cl, form)) == 1; got != want {
+						t.Errorf("%v bid, query kw=%d cl=%d %v: eligible=%v, Matches=%v", m, kw, cl, form, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
 func TestEligibleFiltersMarketAndVertical(t *testing.T) {
 	p, _ := indexFixture(t)
-	x := p.Index()
-	if got := x.Eligible(verticals.Games, market.DE, 3, 1, FormBare, alwaysAlive); len(got) != 0 {
+	if got := eligible(p, verticals.Games, market.DE, 3, 1, FormBare); len(got) != 0 {
 		t.Fatal("wrong market matched")
 	}
-	if got := x.Eligible(verticals.Luxury, market.US, 3, 1, FormBare, alwaysAlive); len(got) != 0 {
+	if got := eligible(p, verticals.Luxury, market.US, 3, 1, FormBare); len(got) != 0 {
 		t.Fatal("wrong vertical matched")
 	}
 }
@@ -124,8 +160,8 @@ func TestEligibleFiltersMarketAndVertical(t *testing.T) {
 func TestEligibleFiltersDeadAccounts(t *testing.T) {
 	p, a := indexFixture(t)
 	x := p.Index()
-	dead := func(AccountID) bool { return false }
-	if got := x.Eligible(verticals.Games, market.US, 3, 1, FormBare, dead); len(got) != 0 {
+	dead := make([]bool, p.NumAccounts())
+	if got := x.Sublists(verticals.Games, market.US).EligibleAppendLive(nil, 3, 1, FormBare, dead); len(got) != 0 {
 		t.Fatal("dead account served")
 	}
 	// Shutdown removes entries outright.
@@ -139,11 +175,40 @@ func TestEligibleFiltersDeadAccounts(t *testing.T) {
 
 func TestEligibleAppendReusesBuffer(t *testing.T) {
 	p, _ := indexFixture(t)
-	x := p.Index()
 	buf := make([]BidRef, 0, 16)
-	got := x.EligibleAppend(buf, verticals.Games, market.US, 3, 1, FormBare, alwaysAlive)
+	got := p.Index().Sublists(verticals.Games, market.US).EligibleAppendLive(buf, 3, 1, FormBare, p.LiveSet())
 	if len(got) != 3 || cap(got) != 16 {
 		t.Fatalf("append variant: len=%d cap=%d", len(got), cap(got))
+	}
+}
+
+// TestPausedAdLeavesPostingLists pins the invariant the live lookup
+// relies on instead of a per-entry ad.Active check: pausing an ad removes
+// its bids from the posting lists, so a live account's paused ad is never
+// eligible, while the account's other ads keep serving.
+func TestPausedAdLeavesPostingLists(t *testing.T) {
+	p, a := indexFixture(t)
+	paused := a.Ads[0]
+	other, err := p.CreateAd(a.ID, verticals.Games, market.US, adcopy.Creative{}, 0.5, simclock.StampAt(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AddBid(other, KeywordBid{KeywordID: 3, Cluster: 1, Match: MatchExact, MaxBid: 1}, 0); err != nil {
+		t.Fatal(err)
+	}
+	p.PauseAd(paused)
+	if paused.Active {
+		t.Fatal("PauseAd left the ad active")
+	}
+	if !p.LiveSet()[a.ID] {
+		t.Fatal("pausing one ad changed the account's liveness")
+	}
+	if n := p.Index().Len(); n != 1 {
+		t.Fatalf("index holds %d bids after pause, want the other ad's 1", n)
+	}
+	got := eligible(p, verticals.Games, market.US, 3, 1, FormBare)
+	if len(got) != 1 || got[0].Ad != other {
+		t.Fatalf("paused ad still eligible: %d refs", len(got))
 	}
 }
 
@@ -163,7 +228,7 @@ func TestRemoveAdIsolation(t *testing.T) {
 		}
 	}
 	p.RetireAd(ad1)
-	got := p.Index().Eligible(verticals.Games, market.US, 0, 0, FormBare, alwaysAlive)
+	got := eligible(p, verticals.Games, market.US, 0, 0, FormBare)
 	if len(got) != 1 || got[0].Ad != ad2 {
 		t.Fatalf("wrong survivor: %d refs", len(got))
 	}
@@ -182,9 +247,9 @@ func TestIndexEpoch(t *testing.T) {
 	}
 
 	// Reads leave the epoch alone.
-	x.Eligible(verticals.Games, market.US, 3, 1, FormBare, alwaysAlive)
+	eligible(p, verticals.Games, market.US, 3, 1, FormBare)
 	if x.Epoch() != e0 {
-		t.Fatal("Eligible advanced the epoch")
+		t.Fatal("a lookup advanced the epoch")
 	}
 
 	ad := a.Ads[0]

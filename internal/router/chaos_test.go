@@ -11,7 +11,7 @@ import (
 )
 
 // fakeAdserver mimics the adserver surface the router depends on:
-// /search answers 200, /readyz and /statz always serve (probe routes
+// /search answers 200, /readyz and /stats always serve (probe routes
 // stay up even while /search faults — exactly how the fault layer is
 // mounted in adbench scenarios). The /search handler is wrapped with
 // the given middleware when non-nil.
@@ -27,7 +27,7 @@ func fakeAdserver(t *testing.T, mw func(http.Handler) http.Handler) *httptest.Se
 	mux := http.NewServeMux()
 	mux.Handle("/search", search)
 	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusOK) })
-	mux.HandleFunc("/statz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, `{"inflight":0,"capacity":64}`)
 	})
 	s := httptest.NewServer(mux)

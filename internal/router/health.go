@@ -11,7 +11,7 @@ import (
 // healthLoop is the router's member-management goroutine: each tick it
 // (a) probes ejected members whose seeded backoff has elapsed with a
 // /readyz and re-admits on success, and (b) refreshes active members'
-// /statz so the least-loaded policy reads the admission gate's real
+// /stats so the least-loaded policy reads the admission gate's real
 // in-flight signal rather than guessing from local state.
 type healthLoop struct {
 	rt     *Router
@@ -76,7 +76,7 @@ func (h *healthLoop) tick(ctx context.Context) {
 			go func() { defer wg.Done(); h.probeReady(ctx, b) }()
 		case Active:
 			wg.Add(1)
-			go func() { defer wg.Done(); h.refreshStatz(ctx, b) }()
+			go func() { defer wg.Done(); h.refreshStats(ctx, b) }()
 		}
 	}
 	wg.Wait()
@@ -96,19 +96,19 @@ func (h *healthLoop) probeReady(ctx context.Context, b *Backend) {
 	b.nextProbe.Store(time.Now().Add(b.backoff.Next()).UnixNano())
 }
 
-// statzBody mirrors the adserver /statz reply fields the router reads.
-type statzBody struct {
+// statsBody mirrors the adserver /stats reply fields the router reads.
+type statsBody struct {
 	InFlight int64 `json:"inflight"`
 	Capacity int64 `json:"capacity"`
 }
 
-// refreshStatz pulls an active member's admission gauge. Probe failures
+// refreshStats pulls an active member's admission gauge. Probe failures
 // count toward the member's consecutive-error ejection threshold, so a
 // backend that stops answering even its cheap probe route gets ejected
 // without waiting for live traffic to notice.
-func (h *healthLoop) refreshStatz(ctx context.Context, b *Backend) {
-	var body statzBody
-	if !h.get(ctx, b, "/statz", &body) {
+func (h *healthLoop) refreshStats(ctx context.Context, b *Backend) {
+	var body statsBody
+	if !h.get(ctx, b, "/stats", &body) {
 		b.noteError(h.rt)
 		return
 	}

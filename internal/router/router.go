@@ -59,7 +59,7 @@ type Backend struct {
 	idx  int
 
 	inflight  atomic.Int64  // requests this router currently has open to it
-	reported  atomic.Int64  // in-flight count the backend last reported (statz/header)
+	reported  atomic.Int64  // in-flight count the backend last reported (/stats or header)
 	capacity  atomic.Int64  // admission capacity the backend last reported
 	served    atomic.Uint64 // successful proxied responses
 	errors    atomic.Uint64 // transport errors + 5xx from this backend
@@ -115,7 +115,7 @@ type Options struct {
 	// Default 50ms / 2s.
 	BackoffBase, BackoffCap time.Duration
 	// ProbeInterval is the health-loop tick: ejected members due for a
-	// probe get one readyz each tick, and active members get a statz
+	// probe get one readyz each tick, and active members get a /stats
 	// refresh so least-loaded reads real signal. Default 250ms.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds each probe request. Default 1s.

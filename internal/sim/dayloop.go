@@ -26,7 +26,6 @@ package sim
 
 import (
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/agents"
@@ -233,41 +232,26 @@ func (s *Sim) agentPhase(day simclock.Day) {
 	s.runAgents(day)
 }
 
-// runAgents steps every live agent once. With one worker the fused
-// plan+apply loop runs inline. With more, planning — all RNG draws,
+// runAgents steps every live agent once. Planning — all RNG draws,
 // against frozen account state — fans out over contiguous blocks of the
-// live list, and the recorded plans are applied on this goroutine in
-// live order, so platform mutations, collector folds and event bytes
-// land exactly as the fused loop would have landed them. (Plans only
-// read the planning agent's own account, so a plan never depends on
-// another agent's apply; the fused and staged forms are equivalent.)
+// live list, and the recorded plans are applied on this goroutine in live
+// order, so platform mutations, collector folds and event bytes land in
+// the same order at any worker count. (Plans only read the planning
+// agent's own account, so a plan never depends on another agent's apply;
+// planning everyone first equals planning and applying one agent at a
+// time.)
 func (s *Sim) runAgents(day simclock.Day) {
 	n := len(s.live)
-	w := s.resolveWorkers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for _, a := range s.live {
-			s.runtime.Step(a, day)
-		}
-		return
-	}
+	w := min(s.resolveWorkers(), n)
 	for len(s.plans) < n {
 		s.plans = append(s.plans, agents.StepPlan{})
 	}
 	plans := s.plans[:n]
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			for i := k * n / w; i < (k+1)*n/w; i++ {
-				s.runtime.PlanStep(s.live[i], day, &plans[i])
-			}
-		}(k)
-	}
-	wg.Wait()
+	fanOut(w, func(k int) {
+		for i := k * n / w; i < (k+1)*n/w; i++ {
+			s.runtime.PlanStep(s.live[i], day, &plans[i])
+		}
+	})
 	for i, a := range s.live {
 		s.runtime.ApplyStep(a, day, &plans[i])
 	}

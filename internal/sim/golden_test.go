@@ -24,8 +24,9 @@ func goldenConfig() sim.Config {
 	return cfg
 }
 
-// goldenRun memoizes the golden-config simulation for every test in this
-// file (sync.Once keeps it safe if tests ever run in parallel).
+// goldenRun memoizes the golden-config simulation, run at one worker, for
+// every test in this file (sync.Once keeps it safe if tests ever run in
+// parallel).
 var goldenRun struct {
 	once sync.Once
 	res  *sim.Result
@@ -34,7 +35,9 @@ var goldenRun struct {
 func goldenResult(t *testing.T) *sim.Result {
 	t.Helper()
 	goldenRun.once.Do(func() {
-		goldenRun.res = sim.New(goldenConfig()).Run()
+		cfg := goldenConfig()
+		cfg.Workers = 1
+		goldenRun.res = sim.New(cfg).Run()
 	})
 	return goldenRun.res
 }
@@ -42,13 +45,24 @@ func goldenResult(t *testing.T) *sim.Result {
 // TestGoldenDatasetDigest pins the full dataset fingerprint: accounts,
 // weekly activity, window aggregates, sample-window click counters,
 // billing ledger, and detection records. Any behavioral drift in the
-// engine or its substrates shows up here as a hash mismatch.
+// engine or its substrates shows up here as a hash mismatch. It runs at
+// one worker (a single serving shard, a single planning and scan block)
+// and at three (uneven shard boundaries), both against the one fixture,
+// so neither worker count can drift from the pinned bytes even on a
+// host whose default worker count is the other.
 func TestGoldenDatasetDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a simulation")
 	}
-	d := testutil.DigestResult(goldenResult(t))
-	testutil.GoldenJSON(t, filepath.Join("testdata", "tiny_seed7_digest.golden.json"), d)
+	path := filepath.Join("testdata", "tiny_seed7_digest.golden.json")
+	t.Run("workers=1", func(t *testing.T) {
+		testutil.GoldenJSON(t, path, testutil.DigestResult(goldenResult(t)))
+	})
+	t.Run("workers=3", func(t *testing.T) {
+		cfg := goldenConfig()
+		cfg.Workers = 3
+		testutil.GoldenJSON(t, path, testutil.DigestResult(sim.New(cfg).Run()))
+	})
 }
 
 // TestGoldenHeadlineCounters pins the run's headline counters separately

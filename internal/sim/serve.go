@@ -1,8 +1,9 @@
 package sim
 
 // The serving engine: the day's query → auction → click → billing loop,
-// runnable either on the simulation goroutine (Workers <= 1) or sharded
-// across a worker pool (Workers > 1) with byte-identical outcomes.
+// sharded across the worker pool with byte-identical outcomes at any
+// worker count (Workers = 1 is one shard). Each query's page comes from
+// internal/serving, the page path the HTTP adserver runs too.
 //
 // The determinism contract (DESIGN.md "Parallel serving") rests on three
 // facts about stepDay: campaign and account state is frozen while
@@ -10,40 +11,40 @@ package sim
 // the serving phase), the query stream and the click stream are each one
 // sequential RNG, and every order-sensitive accumulation is either a
 // commutative integer count or a float sum applied at the day barrier in
-// global query order. Concretely the sharded path runs five sub-phases
-// per day:
+// global query order. Concretely the engine runs five sub-phases per
+// day:
 //
 //	A. generate the day's queries sequentially (one RNG stream);
 //	B. shard the query indices into contiguous blocks, one per worker;
 //	   each worker resolves eligibility + auction for its block against
 //	   the frozen index — through a per-worker, epoch-invalidated page
-//	   cache — and records each query's click-RNG draw count;
-//	C. derive each query's click-RNG substream sequentially from the
+//	   cache — and sums its block's click-RNG draw count;
+//	C. derive each block's click-RNG substream sequentially from the
 //	   master click stream (stats.SubStreams), advancing the master
-//	   exactly as sequential serving would;
-//	D. workers roll clicks for their queries from the private substreams
-//	   and stage outcomes: commutative counters in a
-//	   dataset.ShardAccumulator, clicks as ordered ClickRows, events in
-//	   a per-worker buffer;
+//	   exactly as rolling every page in query order would;
+//	D. workers roll clicks for their block, in query order, from the
+//	   block's private substream and stage outcomes: commutative counters
+//	   in a dataset.ShardAccumulator, clicks as ordered ClickRows, events
+//	   in a per-worker buffer;
 //	E. at the day barrier, the simulation goroutine folds every shard in
 //	   shard order — which, because blocks are contiguous, is global
 //	   query order: counter merges, then billing + spend + click folds
 //	   row by row, then event flush.
 //
-// Workers <= 1 uses a fused single-pass loop (the pre-sharding engine)
-// over the same page cache, so the sequential path keeps its speed and
-// the parallel path provably matches it byte for byte (see the digest
-// matrix in serve_test.go).
+// Rolling block k from its substream yields exactly the values rolling
+// every page in query order off the master stream would, so the committed
+// goldens pin the same bytes at every worker count.
 
 import (
 	"sync"
 
-	"repro/internal/auction"
+	"repro/internal/clicks"
 	"repro/internal/dataset"
 	"repro/internal/eventlog"
 	"repro/internal/market"
 	"repro/internal/platform"
 	"repro/internal/queries"
+	"repro/internal/serving"
 	"repro/internal/simclock"
 	"repro/internal/stats"
 	"repro/internal/verticals"
@@ -60,44 +61,24 @@ type pageKey struct {
 	country market.Country
 }
 
-// page is one cached auction outcome: the placements, each placement's
-// click probability, its ad's vertical index, the owning account (the
-// fraud-presence loops read the flag straight off the pointer), and how
-// many click-RNG draws rolling the page consumes (one per probability
-// strictly inside (0,1) — exactly what clicks.Model.SimulateInto would
-// draw).
-type page struct {
-	placements []auction.Placement
-	cps        []float64
-	vis        []int32
-	accts      []*platform.Account
-	draws      int32
-}
-
-// pagePool recycles page structs and their backing slices across epochs:
-// pages live exactly as long as the cache that holds them, so when the
-// cache is invalidated the pool rewinds and the next day's misses reuse
-// the same storage instead of reallocating four slices per page.
+// pagePool recycles pages and their backing slices across epochs: pages
+// live exactly as long as the cache that holds them, so when the cache is
+// invalidated the pool rewinds and the next day's misses refill the same
+// storage instead of reallocating three slices per page.
 type pagePool struct {
-	chunks [][]page
+	chunks [][]serving.Page
 	used   int
 }
 
 const pageChunk = 512
 
-func (pp *pagePool) get() *page {
+func (pp *pagePool) get() *serving.Page {
 	ci, pi := pp.used/pageChunk, pp.used%pageChunk
 	if ci == len(pp.chunks) {
-		pp.chunks = append(pp.chunks, make([]page, pageChunk))
+		pp.chunks = append(pp.chunks, make([]serving.Page, pageChunk))
 	}
 	pp.used++
-	pg := &pp.chunks[ci][pi]
-	pg.placements = pg.placements[:0]
-	pg.cps = pg.cps[:0]
-	pg.vis = pg.vis[:0]
-	pg.accts = pg.accts[:0]
-	pg.draws = 0
-	return pg
+	return &pp.chunks[ci][pi]
 }
 
 // reset rewinds the pool; only safe when every page handed out is dead
@@ -113,7 +94,7 @@ const maxPageEntries = 1 << 15
 // count, which is never cached: compromises flip account fraud flags
 // without touching the index, so fraud presence is recomputed live.
 type servePage struct {
-	pg         *page
+	pg         *serving.Page
 	fraudShown int32
 }
 
@@ -127,7 +108,7 @@ type subEntry struct {
 // shard is one worker's private serving state.
 type shard struct {
 	// Page cache, valid for one index epoch.
-	cache    map[pageKey]*page
+	cache    map[pageKey]*serving.Page
 	epoch    uint64
 	hasEpoch bool
 	pool     pagePool
@@ -139,8 +120,7 @@ type shard struct {
 	subs [][]subEntry
 
 	// Scratch reused across queries.
-	eligBuf  []platform.BidRef
-	scr      auction.Scratch
+	scr      serving.Scratch
 	clickBuf []int
 
 	// Per-day staging, folded at the day barrier.
@@ -150,19 +130,20 @@ type shard struct {
 	pages  []servePage
 }
 
-// serveEngine owns the worker shards and the per-day query/substream
-// tables.
+// serveEngine owns the worker shards, the day's query table and the
+// per-shard click-substream tables.
 type serveEngine struct {
+	core    serving.Engine
 	workers int
 	shards  []*shard
 
 	queries []queries.Query
-	draws   []int32
+	draws   []int32 // click-RNG draws per shard block
 	states  []stats.RNGState
 }
 
-func newServeEngine(workers int) *serveEngine {
-	e := &serveEngine{workers: workers, shards: make([]*shard, workers)}
+func newServeEngine(core serving.Engine, workers int) *serveEngine {
+	e := &serveEngine{core: core, workers: workers, shards: make([]*shard, workers), draws: make([]int32, workers)}
 	for i := range e.shards {
 		e.shards[i] = &shard{}
 	}
@@ -174,12 +155,26 @@ func (e *serveEngine) bounds(k, n int) (int, int) {
 	return k * n / e.workers, (k + 1) * n / e.workers
 }
 
+// fanOut runs fn(k) for every k in [0, w) on its own goroutine and
+// returns once all of them have.
+func fanOut(w int, fn func(k int)) {
+	var wg sync.WaitGroup
+	for k := 0; k < w; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			fn(k)
+		}(k)
+	}
+	wg.Wait()
+}
+
 // ensureEpoch drops every cached page (and rewinds the page pool and
 // sublist cache) when the index has mutated since the cache was filled,
 // or on first use.
 func (sh *shard) ensureEpoch(epoch uint64) {
 	if sh.cache == nil {
-		sh.cache = make(map[pageKey]*page, 1024)
+		sh.cache = make(map[pageKey]*serving.Page, 1024)
 	}
 	if sh.subs == nil {
 		sh.subs = make([][]subEntry, len(verticals.All()))
@@ -209,169 +204,40 @@ func (sh *shard) sublists(s *Sim, q *queries.Query) platform.Sublists {
 	return sl
 }
 
-// page resolves a query's eligibility and auction through the cache.
-// Hot Zipf-head queries repeat heavily within a day while the index is
-// frozen, so the hit path skips both the posting-list walk and the
-// auction. Empty outcomes are cached too. live is the day's stamped
-// account-liveness bitmap (platform.LiveSet).
-func (sh *shard) page(s *Sim, q *queries.Query, live []bool) *page {
+// page resolves a query's page through the cache. Hot Zipf-head queries
+// repeat heavily within a day while the index is frozen, so the hit path
+// skips both the posting-list walk and the auction. Empty outcomes are
+// cached too. live is the day's stamped account-liveness bitmap
+// (platform.LiveSet).
+func (sh *shard) page(s *Sim, q *queries.Query, live []bool) *serving.Page {
 	key := pageKey{int32(q.VerticalIdx), int32(q.KeywordID), int32(q.Cluster), q.Form, q.Country}
 	if pg, ok := sh.cache[key]; ok {
 		return pg
 	}
 	pg := sh.pool.get()
-	sh.eligBuf = sh.sublists(s, q).EligibleAppendLive(sh.eligBuf[:0], q.KeywordID, q.Cluster, q.Form, live)
-	if len(sh.eligBuf) > 0 {
-		res := auction.RunInto(s.cfg.Auction, sh.eligBuf, q.Form, &sh.scr)
-		if len(res.Placements) > 0 {
-			pg.placements = append(pg.placements, res.Placements...)
-			for i := range pg.placements {
-				pl := &pg.placements[i]
-				cp := s.model.ClickProbability(*pl)
-				pg.cps = append(pg.cps, cp)
-				pg.vis = append(pg.vis, int32(verticals.Index(pl.Ref.Ad.Vertical)))
-				pg.accts = append(pg.accts, s.p.MustAccount(pl.Ref.Ad.Account))
-				if cp > 0 && cp < 1 {
-					pg.draws++
-				}
-			}
-		}
-	}
+	s.eng.core.Fill(pg, sh.sublists(s, q), q.KeywordID, q.Cluster, q.Form, live, &sh.scr)
 	if len(sh.cache) < maxPageEntries {
 		sh.cache[key] = pg
 	}
 	return pg
 }
 
-// rollClicksInto mirrors clicks.Model.SimulateInto over precomputed
-// click probabilities: same draw pattern, same outcomes, no recompute.
-func rollClicksInto(rng *stats.RNG, cps []float64, buf []int) []int {
-	buf = buf[:0]
-	for i, cp := range cps {
-		if rng.Bool(cp) {
-			buf = append(buf, i)
-		}
-	}
-	return buf
-}
-
 // serveQueries runs the day's query volume through the auction and click
-// model, on one goroutine or the worker pool per the Workers setting.
+// model on the worker pool; see the package comment for the A–E phase
+// structure and why each phase preserves byte identity.
 func (s *Sim) serveQueries(day simclock.Day) {
 	if s.eng == nil {
-		s.eng = newServeEngine(s.resolveWorkers())
+		s.eng = newServeEngine(serving.Engine{P: s.p, Auction: s.cfg.Auction, Model: clicks.DefaultModel()}, s.resolveWorkers())
 	}
-	if s.eng.workers > 1 {
-		s.serveQueriesSharded(day)
-	} else {
-		s.serveQueriesSequential(day)
-	}
-	s.res.RevenueLost = s.p.Ledger().TotalLost()
-}
-
-// serveQueriesSequential is the fused single-goroutine loop: one pass
-// per query doing auction (via the page cache), click rolls off the
-// master click stream, and immediate folds. Events are staged in the
-// shard buffer and flushed in one batch at the end of the phase — the
-// order the sink sees is unchanged.
-func (s *Sim) serveQueriesSequential(day simclock.Day) {
-	sh := s.eng.shards[0]
-	sh.ensureEpoch(s.p.Index().Epoch())
-	sink := s.events
-	sh.events = sh.events[:0]
-	live := s.p.LiveSet()
-	for i := 0; i < s.cfg.QueriesPerDay; i++ {
-		q := s.qgen.Next()
-		pg := sh.page(s, &q, live)
-		if len(pg.placements) == 0 {
-			continue
-		}
-		s.res.Auctions++
-
-		// Ground-truth fraud presence per page: an ad competes with fraud
-		// when another shown ad belongs to a fraudulent account. Never
-		// cached — fraud flags flip without an index mutation.
-		fraudShown := 0
-		for _, a := range pg.accts {
-			if a.Fraud {
-				fraudShown++
-			}
-		}
-
-		sh.clickBuf = rollClicksInto(s.clickRNG, pg.cps, sh.clickBuf)
-		clicked := sh.clickBuf
-		country := string(q.Country)
-		ci := 0
-		for pi := range pg.placements {
-			pl := &pg.placements[pi]
-			acct := pg.accts[pi]
-			isFraud := acct.Fraud
-			fraudComp := fraudShown > 0
-			if isFraud {
-				fraudComp = fraudShown > 1
-			}
-			wasClicked := ci < len(clicked) && clicked[ci] == pi
-			price := 0.0
-			if wasClicked {
-				ci++
-				price = pl.Price
-				s.p.Bill(acct.ID, price)
-				s.res.Clicks++
-				s.res.Spend += price
-				if isFraud {
-					s.res.FraudClicks++
-					s.res.FraudSpend += price
-				}
-			}
-			s.p.CountImpression(acct.ID)
-			s.res.Impressions++
-			s.col.Impression(day, acct.ID, isFraud, int(pg.vis[pi]),
-				q.Country, pl.Position, pl.Ref.Bid.Match, fraudComp, wasClicked, price)
-			if sink != nil {
-				var flags uint8
-				if isFraud {
-					flags |= eventlog.FlagFraud
-				}
-				if fraudComp {
-					flags |= eventlog.FlagFraudComp
-				}
-				if wasClicked {
-					flags |= eventlog.FlagClicked
-				}
-				sh.events = append(sh.events, eventlog.Event{
-					Type:     eventlog.TypeImpression,
-					Day:      int32(day),
-					Account:  int32(acct.ID),
-					Vertical: pg.vis[pi],
-					Country:  country,
-					Position: int32(pl.Position),
-					Match:    uint8(pl.Ref.Bid.Match),
-					Flags:    flags,
-					Amount:   price,
-				})
-			}
-		}
-	}
-	if sink != nil {
-		eventlog.AppendAll(sink, sh.events)
-	}
-}
-
-// serveQueriesSharded is the worker-pool engine; see the package comment
-// for the A–E phase structure and why each phase preserves byte
-// identity.
-func (s *Sim) serveQueriesSharded(day simclock.Day) {
 	e := s.eng
 	n := s.cfg.QueriesPerDay
 
 	// Phase A: the query stream is one sequential RNG; draw it up front.
 	if cap(e.queries) < n {
 		e.queries = make([]queries.Query, n)
-		e.draws = make([]int32, n)
 	}
 	e.queries = e.queries[:n]
-	e.draws = e.draws[:n]
-	for i := 0; i < n; i++ {
+	for i := range e.queries {
 		e.queries[i] = s.qgen.Next()
 	}
 
@@ -382,37 +248,21 @@ func (s *Sim) serveQueriesSharded(day simclock.Day) {
 	live := s.p.LiveSet()
 
 	// Phase B: eligibility + auctions against the frozen index.
-	var wg sync.WaitGroup
-	for k := 0; k < e.workers; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			s.shardAuctions(day, k, n, nWin, epoch, live)
-		}(k)
-	}
-	wg.Wait()
+	fanOut(e.workers, func(k int) { s.shardAuctions(k, n, nWin, epoch, live) })
 
-	// Phase C: partition the master click stream by per-query draw
-	// count. After this the master has advanced exactly as sequential
-	// serving would have.
+	// Phase C: partition the master click stream by per-block draw
+	// count. After this the master has advanced exactly as rolling every
+	// page in query order would have.
 	e.states = stats.SubStreams(s.clickRNG, e.draws, e.states[:0])
 
 	// Phase D: click rolls and outcome staging from private substreams.
 	// Without an event sink the workers skip the event buffer entirely —
 	// the rolls and folds are unaffected.
 	stage := s.events != nil
-	for k := 0; k < e.workers; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			s.shardClicks(day, k, n, stage)
-		}(k)
-	}
-	wg.Wait()
+	fanOut(e.workers, func(k int) { s.shardClicks(day, k, n, stage) })
 
 	// Phase E: deterministic fold, shard by shard — global query order.
-	for k := 0; k < e.workers; k++ {
-		sh := e.shards[k]
+	for _, sh := range e.shards {
 		s.res.Auctions += sh.acc.Auctions
 		s.res.Impressions += sh.acc.Impressions
 		s.col.MergeShard(day, &sh.acc)
@@ -432,12 +282,13 @@ func (s *Sim) serveQueriesSharded(day simclock.Day) {
 			eventlog.AppendAll(s.events, sh.events)
 		}
 	}
+	s.res.RevenueLost = s.p.Ledger().TotalLost()
 }
 
 // shardAuctions is phase B for one worker: resolve every query in the
-// block through the page cache and record its draw count. All writes are
-// shard-private or to this block's slice of e.draws.
-func (s *Sim) shardAuctions(day simclock.Day, k, n, nWin int, epoch uint64, live []bool) {
+// block through the page cache and sum the block's draw count. All
+// writes are shard-private or to this block's slot of e.draws.
+func (s *Sim) shardAuctions(k, n, nWin int, epoch uint64, live []bool) {
 	e := s.eng
 	sh := e.shards[k]
 	lo, hi := e.bounds(k, n)
@@ -446,44 +297,52 @@ func (s *Sim) shardAuctions(day simclock.Day, k, n, nWin int, epoch uint64, live
 	sh.clicks = sh.clicks[:0]
 	sh.events = sh.events[:0]
 	sh.pages = sh.pages[:0]
+	var draws int32
 	for gi := lo; gi < hi; gi++ {
 		pg := sh.page(s, &e.queries[gi], live)
 		sp := servePage{pg: pg}
-		if len(pg.placements) > 0 {
+		if len(pg.Placements) > 0 {
 			sh.acc.Auctions++
-			for _, a := range pg.accts {
+			for _, a := range pg.Accts {
 				if a.Fraud {
 					sp.fraudShown++
 				}
 			}
 		}
-		e.draws[gi] = pg.draws
+		draws += pg.Draws
 		sh.pages = append(sh.pages, sp)
 	}
+	e.draws[k] = draws
 }
 
-// shardClicks is phase D for one worker: roll clicks for each query from
-// its private substream (bit-identical to the sequential rolls) and
-// stage counter increments, click rows and events.
+// shardClicks is phase D for one worker: roll clicks for each query in
+// the block, in query order, from the block's private substream
+// (bit-identical to rolling off the master stream) and stage counter
+// increments, click rows and events. Every placement on a page comes from
+// the query's own (vertical, country) posting lists, so its vertical is
+// the query's.
 func (s *Sim) shardClicks(day simclock.Day, k, n int, stage bool) {
 	e := s.eng
 	sh := e.shards[k]
 	lo, hi := e.bounds(k, n)
 	var rng stats.RNG
+	rng.SetState(e.states[k])
 	for gi := lo; gi < hi; gi++ {
 		sp := &sh.pages[gi-lo]
 		pg := sp.pg
-		if len(pg.placements) == 0 {
+		if len(pg.Placements) == 0 {
 			continue
 		}
 		q := &e.queries[gi]
-		rng.SetState(e.states[gi])
+		vi := int32(q.VerticalIdx)
 		country := string(q.Country)
-		for pi := range pg.placements {
-			pl := &pg.placements[pi]
-			clicked := rng.Bool(pg.cps[pi])
+		sh.clickBuf = pg.RollClicks(&rng, sh.clickBuf)
+		ci := 0
+		for pi := range pg.Placements {
+			pl := &pg.Placements[pi]
+			clicked := ci < len(sh.clickBuf) && sh.clickBuf[ci] == pi
 			acctID := pl.Ref.Ad.Account
-			isFraud := pg.accts[pi].Fraud
+			isFraud := pg.Accts[pi].Fraud
 			fraudComp := sp.fraudShown > 0
 			if isFraud {
 				fraudComp = sp.fraudShown > 1
@@ -491,10 +350,11 @@ func (s *Sim) shardClicks(day simclock.Day, k, n int, stage bool) {
 			sh.acc.AddImpression(acctID, pl.Position, fraudComp)
 			price := 0.0
 			if clicked {
+				ci++
 				price = pl.Price
 				sh.clicks = append(sh.clicks, dataset.ClickRow{
 					Account:   acctID,
-					Vertical:  pg.vis[pi],
+					Vertical:  vi,
 					Match:     pl.Ref.Bid.Match,
 					Country:   q.Country,
 					Fraud:     isFraud,
@@ -517,7 +377,7 @@ func (s *Sim) shardClicks(day simclock.Day, k, n int, stage bool) {
 					Type:     eventlog.TypeImpression,
 					Day:      int32(day),
 					Account:  int32(acctID),
-					Vertical: pg.vis[pi],
+					Vertical: vi,
 					Country:  country,
 					Position: int32(pl.Position),
 					Match:    uint8(pl.Ref.Bid.Match),

@@ -7,7 +7,7 @@ package sim
 // (agent campaign edits invalidate the page cache daily).
 //
 // TestWriteServingBenchJSON is the `make bench-serving` entry point: it
-// measures sequential versus Workers=GOMAXPROCS throughput and writes
+// measures one-worker versus Workers=GOMAXPROCS throughput and writes
 // BENCH_serving.json at the repo root. The report records GOMAXPROCS —
 // on a single-CPU host the parallel numbers are necessarily ~1×, and the
 // file says so rather than pretending otherwise.
@@ -152,7 +152,7 @@ func measureServing(tb testing.TB, state []byte, day simclock.Day, qpd, workers,
 	}
 }
 
-// servingBenchReport measures sequential versus pooled serving over the
+// servingBenchReport measures one-shard versus pooled serving over the
 // given warmed state and assembles the report.
 func servingBenchReport(tb testing.TB, state []byte, day simclock.Day, cfgName string, qpd, days int) ServingBenchReport {
 	pooled := runtime.GOMAXPROCS(0)
@@ -160,12 +160,12 @@ func servingBenchReport(tb testing.TB, state []byte, day simclock.Day, cfgName s
 	if pooled > 1 {
 		modes = append(modes, measureServing(tb, state, day, qpd, pooled, days))
 	} else {
-		// One CPU: the pool cannot beat sequential, but still measure the
-		// sharded engine's overhead at a multi-worker setting.
+		// One CPU: the pool cannot beat one worker, but still measure the
+		// engine's overhead at a multi-worker setting.
 		modes = append(modes, measureServing(tb, state, day, qpd, 4, days))
 	}
 	note := "queries/sec for one day of serving, cold page cache per day; " +
-		"sequential (workers=1) vs pooled (workers=GOMAXPROCS)"
+		"one shard (workers=1) vs pooled (workers=GOMAXPROCS); both run the same sharded engine"
 	if pooled == 1 {
 		note += "; HOST HAS 1 CPU: pooled mode runs 4 workers time-sliced on one core, " +
 			"so the parallel speedup is not observable here — rerun on a multi-core host"

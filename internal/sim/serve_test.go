@@ -32,7 +32,7 @@ func matrixConfig(seed uint64, workers int) sim.Config {
 
 // TestParallelServingDigestMatrix is the acceptance matrix: for each
 // seed, Workers ∈ {2, 4, 7} must produce dataset digests byte-identical
-// to the sequential engine (Workers = 1) — not just totals, but every
+// to the one-worker run (Workers = 1, a single shard) — not just totals, but every
 // account aggregate, float spend sum, ledger entry and detection record.
 // Worker counts that do not divide the query volume exercise the uneven
 // shard-boundary arithmetic.
@@ -46,7 +46,7 @@ func TestParallelServingDigestMatrix(t *testing.T) {
 			t.Run(fmt.Sprintf("seed=%d/workers=%d", seed, workers), func(t *testing.T) {
 				got := digestBytes(t, matrixConfig(seed, workers))
 				if !bytes.Equal(seq, got) {
-					t.Fatalf("workers=%d diverged from sequential engine:\n%s",
+					t.Fatalf("workers=%d diverged from the one-worker run:\n%s",
 						workers, testutil.Diff(string(seq), string(got)))
 				}
 			})

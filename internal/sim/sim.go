@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/agents"
 	"repro/internal/auction"
-	"repro/internal/clicks"
 	"repro/internal/dataset"
 	"repro/internal/detection"
 	"repro/internal/eventlog"
@@ -176,7 +175,6 @@ type Sim struct {
 	factory  *agents.Factory
 	runtime  *agents.Runtime
 	pipeline *detection.Pipeline
-	model    *clicks.Model
 
 	arrRNG   *stats.RNG
 	clickRNG *stats.RNG
@@ -186,8 +184,8 @@ type Sim struct {
 	// still active, maintained incrementally (register, compromise,
 	// shutdown) so the progress callback does not rescan the population.
 	fraudLive int
-	// plans is the agent phase's reusable per-agent plan buffer
-	// (workers > 1 only); see dayloop.go.
+	// plans is the agent phase's reusable per-agent plan buffer; see
+	// dayloop.go.
 	plans []agents.StepPlan
 
 	// fraudProfiles remembers each fraud account's profile so shutdowns
@@ -248,7 +246,6 @@ func newWired(cfg Config, p *platform.Platform, col *dataset.Collector) *Sim {
 		factory:       factory,
 		runtime:       runtime,
 		pipeline:      pipeline,
-		model:         clicks.DefaultModel(),
 		arrRNG:        root.ForkNamed("arrivals"),
 		clickRNG:      root.ForkNamed("clicks"),
 		fraudProfiles: make(map[platform.AccountID]agents.Profile),
